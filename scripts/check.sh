@@ -88,6 +88,10 @@ fi
 # per benchmark against its previous run under benchmarks/budgets.toml.
 run_step "bench report --strict" python -m repro bench report --strict
 
+# The repository benchmark at its tiny size: every workload's ops must
+# reproduce the Table 2-9 digests and the Table 8/9 net toggles.
+run_step "benchmark self-test (perfbench, tiny)" python -m pytest perfbench -q
+
 run_step "pytest (tier 1)" python -m pytest -x -q tests
 
 echo

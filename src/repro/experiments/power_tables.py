@@ -26,7 +26,7 @@ from repro.obs.trace import span as obs_span
 from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
 from repro.rtl.netlist import SimulationResult
 from repro.rtl.pads import PAD_INPUT_CAP, OutputPadBank
-from repro.rtl.power import estimate_from_simulation
+from repro.rtl.power import estimate_from_simulation, simulation_power_model
 from repro.tracegen import get_profile, multiplexed_trace
 
 #: Load sweeps (farads).  The paper's exact grid did not survive in the
@@ -112,8 +112,6 @@ def simulate_codecs(
                     cycles=payload[side]["cycles"],
                     outputs=[],
                     net_toggles=list(payload[side]["net_toggles"]),
-                    gate_output_toggles=[],
-                    flop_output_toggles=[],
                 )
                 for side in ("encoder", "decoder")
             }
@@ -162,17 +160,22 @@ def table8(
 ) -> List[Table8Row]:
     """Table 8: enc/dec power for on-chip loads."""
     runs = runs if runs is not None else simulate_codecs()
+    # The load-independent part of each estimate, once per simulation.
+    encoders = {
+        name: simulation_power_model(run.encoder_result)
+        for name, run in runs.items()
+    }
+    decoders = {
+        name: simulation_power_model(run.decoder_result)
+        for name, run in runs.items()
+    }
     rows: List[Table8Row] = []
     for load in loads:
         encoder_mw = {
-            name: estimate_from_simulation(run.encoder_result, output_load=load).total
-            * 1e3
-            for name, run in runs.items()
+            name: model.at(load).total * 1e3 for name, model in encoders.items()
         }
         decoder_mw = {
-            name: estimate_from_simulation(run.decoder_result, output_load=load).total
-            * 1e3
-            for name, run in runs.items()
+            name: model.at(load).total * 1e3 for name, model in decoders.items()
         }
         rows.append(Table8Row(load, encoder_mw, decoder_mw))
     return rows
@@ -212,6 +215,17 @@ def table9(
 ) -> List[Table9Row]:
     """Table 9: global (pads + logic) power for off-chip loads."""
     runs = runs if runs is not None else simulate_codecs()
+    # Encoder drives the pad inputs (0.01 pF per line); decoder sees the
+    # already-reduced encoded stream on-chip.  Neither depends on the load.
+    logic = {
+        name: (
+            estimate_from_simulation(
+                run.encoder_result, output_load=PAD_INPUT_CAP
+            ).total,
+            estimate_from_simulation(run.decoder_result, output_load=0.1e-12).total,
+        )
+        for name, run in runs.items()
+    }
     rows: List[Table9Row] = []
     for load in loads:
         pads_mw: Dict[str, float] = {}
@@ -219,14 +233,7 @@ def table9(
         for name, run in runs.items():
             bank = OutputPadBank(run.line_count, load)
             pad_power = bank.power(run.encoded_transitions_per_cycle)
-            # Encoder drives the pad inputs (0.01 pF per line); decoder sees
-            # the already-reduced encoded stream on-chip.
-            encoder_power = estimate_from_simulation(
-                run.encoder_result, output_load=PAD_INPUT_CAP
-            ).total
-            decoder_power = estimate_from_simulation(
-                run.decoder_result, output_load=0.1e-12
-            ).total
+            encoder_power, decoder_power = logic[name]
             pads_mw[name] = pad_power * 1e3
             global_mw[name] = (pad_power + encoder_power + decoder_power) * 1e3
         rows.append(Table9Row(load, pads_mw, global_mw))

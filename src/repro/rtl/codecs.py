@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.base import SEL_INSTRUCTION
 from repro.core.word import EncodedWord
 from repro.rtl import blocks
@@ -28,15 +30,35 @@ from repro.rtl.gates import AND2, INV, OR2, XOR2
 from repro.rtl.netlist import Netlist, NetId, SimulationResult
 
 
-def _int_to_bits(value: int, width: int) -> List[int]:
-    return [(value >> i) & 1 for i in range(width)]
+def _bit_matrix(values: Sequence[int], width: int) -> np.ndarray:
+    """``(len(values), width)`` 0/1 array: row ``t`` holds the low
+    ``width`` bits of ``values[t]``, LSB first."""
+    dtype = np.uint64 if width <= 64 else object
+    mask = (1 << width) - 1
+    words = np.array([value & mask for value in values], dtype=dtype)
+    shifts = np.arange(width).astype(dtype)
+    return ((words.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for index, bit in enumerate(bits):
-        value |= bit << index
-    return value
+def _row_ints(bits: np.ndarray) -> List[int]:
+    """The integer of each row of a 0/1 array, column 0 the LSB."""
+    width = bits.shape[1]
+    dtype = np.uint64 if width <= 64 else object
+    shifts = np.arange(width).astype(dtype)
+    return (bits.astype(dtype) << shifts).sum(axis=1, dtype=dtype).tolist()
+
+
+def _sel_column(sels: Optional[Sequence[int]], cycles: int) -> np.ndarray:
+    """The ``SEL`` input per cycle: ``sels``, or all instruction fetches."""
+    if sels is None:
+        return np.full((cycles, 1), SEL_INSTRUCTION, dtype=np.int64)
+    return np.asarray(sels, dtype=np.int64)[:cycles].reshape(cycles, 1)
+
+
+def _output_rows(result: SimulationResult) -> np.ndarray:
+    return np.array(result.outputs, dtype=np.uint8).reshape(
+        result.cycles, len(result.netlist.outputs)
+    )
 
 
 def _output_names(netlist: Netlist) -> List[str]:
@@ -98,20 +120,17 @@ class EncoderCircuit:
         Returns the raw simulation result (for power estimation) and the
         encoded words recovered from the primary outputs.
         """
-        vectors = []
-        for index, address in enumerate(addresses):
-            vector = _int_to_bits(address, self.width)
-            if self.uses_sel:
-                sel = SEL_INSTRUCTION if sels is None else sels[index]
-                vector.append(sel)
-            vectors.append(vector)
-        result = self.netlist.simulate(vectors)
-        words = []
-        extra_count = len(self.extra_lines)
-        for row in result.outputs:
-            bus = _bits_to_int(row[: self.width])
-            extras = tuple(row[self.width : self.width + extra_count])
-            words.append(EncodedWord(bus, extras))
+        width = self.width
+        columns = [_bit_matrix(addresses, width)]
+        if self.uses_sel:
+            columns.append(_sel_column(sels, len(addresses)))
+        result = self.netlist.simulate(np.hstack(columns))
+        rows = _output_rows(result)
+        buses = _row_ints(rows[:, :width])
+        extras = rows[:, width : width + len(self.extra_lines)].tolist()
+        words = [
+            EncodedWord(bus, tuple(extra)) for bus, extra in zip(buses, extras)
+        ]
         return result, words
 
 
@@ -152,17 +171,17 @@ class DecoderCircuit:
         sels: Optional[Sequence[int]] = None,
     ) -> Tuple[SimulationResult, List[int]]:
         """Simulate the decoder over an encoded word stream."""
-        vectors = []
-        for index, word in enumerate(words):
-            vector = _int_to_bits(word.bus, self.width)
-            vector.extend(word.extras)
-            if self.uses_sel:
-                sel = SEL_INSTRUCTION if sels is None else sels[index]
-                vector.append(sel)
-            vectors.append(vector)
-        result = self.netlist.simulate(vectors)
-        addresses = [_bits_to_int(row[: self.width]) for row in result.outputs]
-        return result, addresses
+        width = self.width
+        columns = [
+            _bit_matrix([word.bus for word in words], width),
+            np.array([word.extras for word in words], dtype=np.int64).reshape(
+                len(words), len(self.extra_lines)
+            ),
+        ]
+        if self.uses_sel:
+            columns.append(_sel_column(sels, len(words)))
+        result = self.netlist.simulate(np.hstack(columns))
+        return result, _row_ints(_output_rows(result)[:, :width])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ calibration as the substitute for the proprietary library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence
 
 #: Femtofarad / femtojoule helpers for readable constants.
 FF = 1e-15
@@ -34,7 +34,9 @@ class GateSpec:
 
     name: str
     arity: int
-    evaluate: Callable[[Tuple[int, ...]], int]
+    #: ``evaluate(inputs, mask=1)``: the cell function applied bitwise to
+    #: integer inputs (see below); ``mask=1`` gives the truth table.
+    evaluate: Callable[..., int]
     input_cap: float  # farads per input pin
     intrinsic_cap: float  # farads at the output pin
     internal_energy: float  # joules per output transition
@@ -44,41 +46,48 @@ class GateSpec:
         return f"GateSpec({self.name})"
 
 
-def _inv(inputs: Tuple[int, ...]) -> int:
-    return 1 - inputs[0]
+# Each gate function is word-level: every input is an integer whose bit
+# ``t`` is the input's value at cycle ``t``, and ``mask`` has a 1 in every
+# bit position in use.  With the default ``mask=1`` and 0/1 inputs these
+# are the scalar truth tables.
 
 
-def _buf(inputs: Tuple[int, ...]) -> int:
+def _inv(inputs: Sequence[int], mask: int = 1) -> int:
+    return mask ^ inputs[0]
+
+
+def _buf(inputs: Sequence[int], mask: int = 1) -> int:
     return inputs[0]
 
 
-def _and2(inputs: Tuple[int, ...]) -> int:
+def _and2(inputs: Sequence[int], mask: int = 1) -> int:
     return inputs[0] & inputs[1]
 
 
-def _or2(inputs: Tuple[int, ...]) -> int:
+def _or2(inputs: Sequence[int], mask: int = 1) -> int:
     return inputs[0] | inputs[1]
 
 
-def _nand2(inputs: Tuple[int, ...]) -> int:
-    return 1 - (inputs[0] & inputs[1])
+def _nand2(inputs: Sequence[int], mask: int = 1) -> int:
+    return mask ^ (inputs[0] & inputs[1])
 
 
-def _nor2(inputs: Tuple[int, ...]) -> int:
-    return 1 - (inputs[0] | inputs[1])
+def _nor2(inputs: Sequence[int], mask: int = 1) -> int:
+    return mask ^ (inputs[0] | inputs[1])
 
 
-def _xor2(inputs: Tuple[int, ...]) -> int:
+def _xor2(inputs: Sequence[int], mask: int = 1) -> int:
     return inputs[0] ^ inputs[1]
 
 
-def _xnor2(inputs: Tuple[int, ...]) -> int:
-    return 1 - (inputs[0] ^ inputs[1])
+def _xnor2(inputs: Sequence[int], mask: int = 1) -> int:
+    return mask ^ inputs[0] ^ inputs[1]
 
 
-def _mux2(inputs: Tuple[int, ...]) -> int:
-    # inputs = (select, a, b): select ? a : b
-    return inputs[1] if inputs[0] else inputs[2]
+def _mux2(inputs: Sequence[int], mask: int = 1) -> int:
+    # inputs = (select, a, b): select ? a : b, bit by bit
+    select = inputs[0]
+    return (select & inputs[1]) | ((mask ^ select) & inputs[2])
 
 
 INV = GateSpec("INV", 1, _inv, input_cap=6 * FF, intrinsic_cap=4 * FF, internal_energy=8 * FJ, delay=0.10 * NS)

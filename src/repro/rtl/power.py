@@ -113,50 +113,98 @@ def effective_densities(
     return densities
 
 
-def _assemble_estimate(
-    netlist: Netlist,
-    final_activities: Sequence[float],
-    vdd: float,
-    frequency_hz: float,
-    output_load: float,
-    wire_cap: float,
-    glitch_fraction: float,
-    glitch_cap: float,
-    cycles: int,
-) -> PowerEstimate:
-    """Common power assembly from per-net final activities."""
-    internal_loads, external_loads = netlist.net_loads_split(
-        output_load=output_load, wire_cap=wire_cap
-    )
-    densities = effective_densities(
-        netlist, final_activities, glitch_fraction, glitch_cap
-    )
-    half_v2 = 0.5 * vdd * vdd
+class PowerModel:
+    """The load-independent part of a power estimate, for a load sweep.
 
-    switching = sum(
-        density * half_v2 * load
-        for density, load in zip(densities, internal_loads)
-    )
-    external = sum(
-        final * half_v2 * load
-        for final, load in zip(final_activities, external_loads)
-    )
-    internal = sum(
-        densities[gate.output] * gate.spec.internal_energy
-        for gate in netlist._gates
-    )
-    internal += sum(
-        final_activities[flop.q] * DFF.internal_energy
-        for flop in netlist._flops
-    )
-    clock = DFF_CLOCK_ENERGY * netlist.flop_count
+    Everything but the primary-output term is computed once from per-net
+    final activities: the glitch-aware effective densities, the internal
+    switching, cell-internal and clock energies.  :meth:`at` adds the
+    external term of one ``output_load``.
+    """
 
-    return PowerEstimate(
-        switching=switching * frequency_hz,
-        external=external * frequency_hz,
-        internal=internal * frequency_hz,
-        clock=clock * frequency_hz,
-        cycles=cycles,
+    def __init__(
+        self,
+        netlist: Netlist,
+        final_activities: Sequence[float],
+        vdd: float,
+        frequency_hz: float,
+        wire_cap: float,
+        glitch_fraction: float,
+        glitch_cap: float,
+        cycles: int,
+    ):
+        # Internal loads do not depend on the output load.
+        internal_loads, _ = netlist.net_loads_split(wire_cap=wire_cap)
+        densities = effective_densities(
+            netlist, final_activities, glitch_fraction, glitch_cap
+        )
+        half_v2 = 0.5 * vdd * vdd
+
+        switching = sum(
+            density * half_v2 * load
+            for density, load in zip(densities, internal_loads)
+        )
+        internal = sum(
+            densities[gate.output] * gate.spec.internal_energy
+            for gate in netlist._gates
+        )
+        internal += sum(
+            final_activities[flop.q] * DFF.internal_energy
+            for flop in netlist._flops
+        )
+        clock = DFF_CLOCK_ENERGY * netlist.flop_count
+
+        self._final_activities = final_activities
+        self._output_nets = [net for _, net in netlist.outputs]
+        self._half_v2 = half_v2
+        self._frequency_hz = frequency_hz
+        self._switching = switching * frequency_hz
+        self._internal = internal * frequency_hz
+        self._clock = clock * frequency_hz
+        self._cycles = cycles
+
+    def at(self, output_load: float) -> PowerEstimate:
+        """The estimate with ``output_load`` on every primary output."""
+        loads: Dict[int, float] = {}
+        for net in self._output_nets:
+            loads[net] = loads.get(net, 0.0) + output_load
+        # Net order, as a sum over every net would add them: the nets
+        # without an output load would only add exact zeros.
+        external = sum(
+            self._final_activities[net] * self._half_v2 * loads[net]
+            for net in sorted(loads)
+        )
+        return PowerEstimate(
+            switching=self._switching,
+            external=external * self._frequency_hz,
+            internal=self._internal,
+            clock=self._clock,
+            cycles=self._cycles,
+        )
+
+
+def simulation_power_model(
+    result: SimulationResult,
+    vdd: float = DEFAULT_VDD,
+    frequency_hz: float = DEFAULT_FREQUENCY_HZ,
+    wire_cap: float = DEFAULT_WIRE_CAP,
+    glitch_fraction: float = DEFAULT_GLITCH_FRACTION,
+    glitch_cap: float = DEFAULT_GLITCH_CAP,
+) -> PowerModel:
+    """Toggle-count power model of a completed simulation run."""
+    if result.cycles <= 1:
+        raise ValueError("need at least two cycles to estimate power")
+    cycles = result.cycles - 1  # toggles are counted between cycles
+    final_activities = [toggles / cycles for toggles in result.net_toggles]
+    return PowerModel(
+        result.netlist,
+        final_activities,
+        vdd=vdd,
+        frequency_hz=frequency_hz,
+        wire_cap=wire_cap,
+        glitch_fraction=glitch_fraction,
+        glitch_cap=glitch_cap,
+        cycles=result.cycles,
     )
 
 
@@ -170,21 +218,14 @@ def estimate_from_simulation(
     glitch_cap: float = DEFAULT_GLITCH_CAP,
 ) -> PowerEstimate:
     """Toggle-count power of a completed simulation run."""
-    if result.cycles <= 1:
-        raise ValueError("need at least two cycles to estimate power")
-    cycles = result.cycles - 1  # toggles are counted between cycles
-    final_activities = [toggles / cycles for toggles in result.net_toggles]
-    return _assemble_estimate(
-        result.netlist,
-        final_activities,
+    return simulation_power_model(
+        result,
         vdd=vdd,
         frequency_hz=frequency_hz,
-        output_load=output_load,
         wire_cap=wire_cap,
         glitch_fraction=glitch_fraction,
         glitch_cap=glitch_cap,
-        cycles=result.cycles,
-    )
+    ).at(output_load)
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +386,16 @@ def estimate_probabilistic(
         tolerance=tolerance,
     )
 
-    return _assemble_estimate(
+    return PowerModel(
         netlist,
         acts,
         vdd=vdd,
         frequency_hz=frequency_hz,
-        output_load=output_load,
         wire_cap=wire_cap,
         glitch_fraction=glitch_fraction,
         glitch_cap=glitch_cap,
         cycles=0,
-    )
+    ).at(output_load)
 
 
 def stream_line_statistics(
