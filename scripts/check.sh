@@ -56,7 +56,8 @@ run_step "repro-bus check (SA rules)" python -m repro check
 run_step "repro-bus lint --all" python -m repro lint --all
 run_step "repro-bus prove --fast" python -m repro prove --fast
 
-# The batch engine must render byte-identically to the sequential path.
+# `table N` and `tables N` both run through the batch engine: one job
+# without a cache must render byte-identically to two jobs with a cache.
 engine_smoke() {
     local workdir
     workdir="$(mktemp -d)" || return 1

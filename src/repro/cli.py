@@ -118,9 +118,11 @@ def _print_table(
 ) -> None:
     """Print one paper table — the shared body of ``table`` and ``tables``.
 
-    The output is identical with and without a config; that equivalence
-    is what lets ``tables --jobs N`` be diffed byte-for-byte against the
-    sequential ``table N`` (the CI smoke gate does exactly this).
+    Both run the table's cells through the batch engine; ``config=None``
+    (``table N``) means one job in-process with no cache.  The output
+    does not depend on the config, which is what lets ``tables --jobs N``
+    be diffed byte-for-byte against ``table N`` (the CI smoke gate does
+    exactly this).
     """
     from repro import experiments
 
@@ -215,7 +217,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
-    names = args.codecs or ["gray", "bus-invert", "t0", "t0bi", "dualt0", "dualt0bi"]
+    names = dict.fromkeys(  # a codec named twice is compared once
+        args.codecs or ["gray", "bus-invert", "t0", "t0bi", "dualt0", "dualt0bi"]
+    )
     codecs = []
     for name in names:
         if name in ("binary", "bus-invert", "offset"):

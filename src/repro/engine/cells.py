@@ -234,10 +234,8 @@ def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
         "count", codec="binary", cycles=len(cell.addresses)
     ):
         report = binary_reference_report(cell.addresses, width=cell.width)
-    return {
-        "report": report_to_payload(report),
-        "in_sequence": in_sequence_fraction_fast(cell.addresses, cell.stride),
-    }
+        in_sequence = in_sequence_fraction_fast(cell.addresses, cell.stride)
+    return {"report": report_to_payload(report), "in_sequence": in_sequence}
 
 
 def _compute_codec_transitions(

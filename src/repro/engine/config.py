@@ -1,21 +1,14 @@
 """Unified execution configuration: one object instead of kwarg sprawl.
 
-Before this module, every layer that could use the batch engine grew its
-own knobs — ``compare_codecs(engine=, use_kernels=)``, the table builders'
-``engine=``, and the CLI's ``--jobs/--cache/--refresh/--chunk-size``
-quartet — which meant a front end (the evaluation service, a notebook, a
-script) had to understand the whole stack to configure any of it.
-
-:class:`ExecutionConfig` collapses that surface: it names the four
-execution decisions a caller can make (worker count, cache directory,
-kernel routing, chunk size) plus the two cache policies (refresh,
-max-bytes eviction), validates them once, and builds the
-:class:`~repro.engine.runner.BatchEngine` they imply.  The engine is
-memoized per config object, so threading **one** config through a whole
-run — every table, every row — shares one engine, one cache handle and
-one cumulative :class:`~repro.engine.runner.EngineStats`, exactly like
-the old pattern of passing a live engine around, without exposing the
-engine type to callers.
+:class:`ExecutionConfig` names the four execution decisions a caller can
+make (worker count, cache directory, kernel routing, chunk size) plus the
+two cache policies (refresh, max-bytes eviction), validates them once,
+and builds the :class:`~repro.engine.runner.BatchEngine` they imply.  The
+engine is memoized per config object, so threading **one** config
+through a whole run — every table, every row — shares one engine, one
+cache handle and one cumulative :class:`~repro.engine.runner.EngineStats`,
+without exposing the engine type to callers.  Callers that pass no
+config get ``ExecutionConfig()``: one job in-process, no cache.
 
 The evaluation service (:mod:`repro.service`) constructs its engine from
 the same object, so ``repro-bus serve`` and ``repro-bus tables`` are

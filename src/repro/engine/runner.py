@@ -15,7 +15,8 @@ under any worker scheduling.  Per cell the engine:
    (with fresh ids — see :func:`repro.obs.trace.replay_events`), writes
    the new payloads back to the cache, and updates the
    ``engine.cache.hits`` / ``engine.cache.misses`` / ``engine.cells`` /
-   ``core.encoded_words`` counters that run manifests snapshot.
+   ``core.encoded_words`` / ``metrics.transitions`` /
+   ``rtl.simulated_cycles`` counters that run manifests snapshot.
 
 A warm rerun of an unchanged workload therefore performs **zero** codec
 encode work: every cell is served in step 1, no encode span is emitted
@@ -80,10 +81,11 @@ def _worker_init() -> None:
 
 #: One schedulable worker task: ``(index, cell, chunk_size, traced,
 #: use_kernels, submitted_at)``.  ``submitted_at`` is the parent's
-#: ``time.perf_counter()`` at enqueue time; on Linux the monotonic clock
-#: is system-wide, so the forked worker can subtract it to measure how
-#: long the task sat in the pool queue before a worker picked it up.
-_CellTask = Tuple[int, Cell, int, bool, bool, float]
+#: ``time.perf_counter()`` when the batch went to the pool; on Linux the
+#: monotonic clock is system-wide, so the forked worker can subtract it to
+#: measure how long the task sat in the pool queue before a worker picked
+#: it up.  It is None for cells computed in-process, which never queue.
+_CellTask = Tuple[int, Cell, int, bool, bool, Optional[float]]
 
 #: Worker outcome: ``(index, payload, meta, events)``.  ``meta`` carries
 #: telemetry only (``wall_s``, ``queue_s``, ``path``) — it never touches
@@ -109,7 +111,9 @@ def _run_cell(task: _CellTask) -> _CellOutcome:
         events = []
     meta = {
         "wall_s": time.perf_counter() - started,
-        "queue_s": max(0.0, started - submitted_at),
+        "queue_s": (
+            0.0 if submitted_at is None else max(0.0, started - submitted_at)
+        ),
         "path": cell_path(cell, use_kernels),
     }
     return index, payload, meta, events
@@ -198,7 +202,7 @@ class BatchEngine:
         """
         codecs = codecs or {}
         results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-        pool_tasks: List[_CellTask] = []
+        rebuilt: List[Tuple[int, Cell]] = []  # computed from cell fields
         inline: List[Tuple[int, Cell, bool]] = []  # (index, cell, cacheable)
         keys: Dict[int, str] = {}
         traced = obs_enabled()
@@ -238,31 +242,41 @@ class BatchEngine:
                     ).inc()
                 self.stats.misses += 1
                 if rebuildable:
-                    pool_tasks.append(
-                        (
-                            index,
-                            cell,
-                            self.chunk_size,
-                            traced,
-                            self.use_kernels,
-                            time.perf_counter(),
-                        )
-                    )
+                    rebuilt.append((index, cell))
                 else:
                     inline.append((index, cell, False))
 
             outcomes: List[_CellOutcome] = []
-            if pool_tasks and self.jobs > 1:
+            if rebuilt and self.jobs > 1:
+                submitted_at = time.perf_counter()
+                tasks: List[_CellTask] = [
+                    (
+                        index,
+                        cell,
+                        self.chunk_size,
+                        traced,
+                        self.use_kernels,
+                        submitted_at,
+                    )
+                    for index, cell in rebuilt
+                ]
                 context = multiprocessing.get_context()
                 with context.Pool(
-                    processes=min(self.jobs, len(pool_tasks)),
+                    processes=min(self.jobs, len(tasks)),
                     initializer=_worker_init,
                 ) as pool:
-                    outcomes.extend(
-                        pool.imap_unordered(_run_cell, pool_tasks)
-                    )
+                    outcomes.extend(pool.imap_unordered(_run_cell, tasks))
             else:
-                outcomes.extend(_run_cell(task) for task in pool_tasks)
+                # In-process cells emit their spans straight into the live
+                # sinks (capturing them as well would replay each twice),
+                # and each starts when the one before it ends, so none of
+                # them waits in a queue.
+                outcomes.extend(
+                    _run_cell(
+                        (index, cell, self.chunk_size, False, self.use_kernels, None)
+                    )
+                    for index, cell in rebuilt
+                )
 
             for index, cell, _ in inline:
                 codec = codecs.get(cell.codec_name)
@@ -285,6 +299,9 @@ class BatchEngine:
                 }
                 outcomes.append((index, payload, meta, []))
 
+            cell_wall = obs_metrics.histogram("engine.cell_wall_s")
+            worker_wall_ms = obs_metrics.counter("engine.worker_wall_ms")
+            cell_queue_us = obs_metrics.histogram("engine.cell_queue_us")
             for index, payload, meta, events in outcomes:
                 cell = cells[index]
                 results[index] = payload
@@ -293,19 +310,15 @@ class BatchEngine:
                 path = str(meta["path"])
                 self.stats.worker_wall_s += wall_s
                 self.stats.queue_wall_s += queue_s
-                obs_metrics.histogram("engine.cell_wall_s").observe(wall_s)
-                obs_metrics.counter("engine.worker_wall_ms").inc(
-                    int(wall_s * 1000)
-                )
+                cell_wall.observe(wall_s)
+                worker_wall_ms.inc(int(wall_s * 1000))
                 # Queue-wait vs compute split and per-path breakdown, in
                 # microseconds so sub-second cells spread across the
                 # power-of-two buckets.
                 obs_metrics.histogram(
                     "engine.cell_compute_us", path=path
                 ).observe(wall_s * 1e6)
-                obs_metrics.histogram("engine.cell_queue_us").observe(
-                    queue_s * 1e6
-                )
+                cell_queue_us.observe(queue_s * 1e6)
                 obs_metrics.counter("engine.path_wall_ms", path=path).inc(
                     int(wall_s * 1000)
                 )
@@ -315,6 +328,11 @@ class BatchEngine:
                     obs_metrics.counter(
                         "core.encoded_words", codec=cell.codec_name
                     ).inc(encoded)
+                report = payload.get("report")
+                if isinstance(report, dict):
+                    obs_metrics.counter(
+                        "metrics.transitions", codec=cell.codec_name
+                    ).inc(report["total"])
                 simulated = payload.get("simulated_cycles")
                 if isinstance(simulated, int):
                     obs_metrics.counter(

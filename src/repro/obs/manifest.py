@@ -122,6 +122,12 @@ def write_manifest(
     return target
 
 
+#: Spans that only group other spans: the batch engine's one ``engine``
+#: span per batch wraps the cells' ``encode``/``count``/``simulate``
+#: spans.  Never a stage by default, so the work inside is charged.
+GROUPING_SPANS = frozenset({"engine"})
+
+
 def charged_spans(
     events: Sequence[Dict[str, Any]],
     stage_names: Optional[Sequence[str]] = None,
@@ -132,7 +138,8 @@ def charged_spans(
     set — so ``tracegen`` inside ``tracegen`` (a multiplexed trace
     building its instruction source) and ``count`` inside ``encode``
     count once, keeping the per-stage times additive and comparable to
-    the run's total wall time.
+    the run's total wall time.  The aggregated set is ``stage_names``, or
+    by default every span name except :data:`GROUPING_SPANS`.
 
     Spans that *began but never ended* — a workload aborted mid-stage by
     an exception or a kill, or a truncated JSONL trace — are still
@@ -157,7 +164,9 @@ def charged_spans(
         elif entry.get("type") == "span_end":
             ended.add(entry.get("id"))
     stage_set = (
-        set(stage_names) if stage_names is not None else set(names.values())
+        set(stage_names)
+        if stage_names is not None
+        else set(names.values()) - GROUPING_SPANS
     )
 
     def outermost(parent: Optional[int]) -> bool:

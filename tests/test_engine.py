@@ -31,6 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 from tests.conftest import make_mixed_stream
+from tests.row_reference import reference_row
 
 
 @pytest.fixture
@@ -132,35 +133,16 @@ class TestResultCache:
 class TestEngineRuns:
     def test_matches_sequential_row(self, stream, codecs):
         addresses, sels = stream
-        sequential = compare_codecs(codecs, addresses, sels, benchmark="b")
+        expected = reference_row(codecs, addresses, sels, benchmark="b")
+        assert compare_codecs(codecs, addresses, sels, benchmark="b") == expected
         row = compare_codecs(
             codecs,
             addresses,
             sels,
             benchmark="b",
-            config=ExecutionConfig(jobs=1),
+            config=ExecutionConfig(jobs=1, kernels=False),
         )
-        assert row == sequential
-
-    def test_deprecated_kwargs_warn_but_still_work(self, stream, codecs):
-        addresses, sels = stream
-        sequential = compare_codecs(codecs, addresses, sels, benchmark="b")
-        with pytest.warns(DeprecationWarning, match="engine=.*deprecated"):
-            row = compare_codecs(
-                codecs,
-                addresses,
-                sels,
-                benchmark="b",
-                engine=BatchEngine(jobs=1),
-            )
-        assert row == sequential
-        with pytest.warns(
-            DeprecationWarning, match="use_kernels=.*deprecated"
-        ):
-            row = compare_codecs(
-                codecs, addresses, sels, benchmark="b", use_kernels=True
-            )
-        assert row == sequential
+        assert row == expected
 
     def test_config_memoizes_one_engine(self):
         config = ExecutionConfig(jobs=1)
@@ -183,7 +165,7 @@ class TestEngineRuns:
             )
             assert parallel == reference
         row = row_from_results(codecs, reference, len(addresses), benchmark="b")
-        assert row == compare_codecs(codecs, addresses, sels, benchmark="b")
+        assert row == reference_row(codecs, addresses, sels, benchmark="b")
 
     def test_warm_run_is_all_hits_and_no_encode_work(
         self, tmp_path, stream, codecs
@@ -250,7 +232,7 @@ class TestEngineRuns:
         payloads = engine.run(cells, codecs={"beach": beach})
         assert engine.stats.uncacheable == 1  # the beach cell
         row = row_from_results([beach], payloads, len(addresses), benchmark="b")
-        assert row == compare_codecs([beach], addresses, sels, benchmark="b")
+        assert row == reference_row([beach], addresses, sels, benchmark="b")
 
     def test_trained_codec_without_live_codec_raises(self, stream):
         addresses, sels = stream
@@ -385,29 +367,62 @@ class TestEngineTelemetry:
         assert payloads == reference
         assert engine.stats.queue_wall_s >= 0.0
 
+    def test_in_process_batch_reports_no_queue_wait(self, stream, codecs):
+        # jobs=1 computes the cells one after another as soon as the probe
+        # loop ends; none of them sits in a queue.
+        addresses, sels = stream
+        cells = comparison_cells(codecs, addresses, sels, benchmark="b")
+        engine = BatchEngine(jobs=1)
+        engine.run(cells, codecs=_codec_map(codecs))
+        assert engine.stats.queue_wall_s == 0.0
+        assert "0.00s queued" in engine.stats.summary()
+        queue = self._snapshot_by_name("histograms")[
+            ("engine.cell_queue_us", ())
+        ]
+        assert queue["count"] == len(cells)
+        assert queue["max"] == 0.0
+
+    def test_in_process_batch_emits_each_span_once(self, stream, codecs):
+        addresses, sels = stream
+        cells = comparison_cells(codecs, addresses, sels, benchmark="b")
+        with obs_trace.capture() as sink:
+            BatchEngine(jobs=1).run(cells, codecs=_codec_map(codecs))
+        begun = [
+            event["name"]
+            for event in sink.events
+            if event["type"] == "span_begin"
+        ]
+        assert begun.count("encode") == len(codecs)
+        assert begun.count("count") == len(cells)
+
 
 class TestEnginePowerCells:
     def test_power_runs_match_sequential(self):
         from repro.experiments.power_tables import simulate_codecs
+        from repro.metrics import count_transitions
+        from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
         from repro.rtl.power import estimate_from_simulation
+        from repro.tracegen import get_profile, multiplexed_trace
 
-        sequential = simulate_codecs("gzip", 200, codes=("t0",))
-        engine_runs = simulate_codecs(
-            "gzip", 200, codes=("t0",), config=ExecutionConfig(jobs=1)
+        trace = multiplexed_trace(get_profile("gzip"), 200)
+        encoder, words = ENCODER_BUILDERS["t0"](32).run(
+            trace.addresses, trace.sels
         )
-        for side in ("encoder_result", "decoder_result"):
-            a = estimate_from_simulation(
-                getattr(sequential["t0"], side), output_load=0.4e-12
-            )
-            b = estimate_from_simulation(
-                getattr(engine_runs["t0"], side), output_load=0.4e-12
-            )
-            assert a == b
-        assert (
-            engine_runs["t0"].encoded_transitions_per_cycle
-            == sequential["t0"].encoded_transitions_per_cycle
+        decoder, decoded = DECODER_BUILDERS["t0"](32).run(words, trace.sels)
+        assert list(decoded) == list(trace.addresses)
+        run = simulate_codecs("gzip", 200, codes=("t0",))["t0"]
+        for expected, actual in (
+            (encoder, run.encoder_result),
+            (decoder, run.decoder_result),
+        ):
+            assert actual.net_toggles == expected.net_toggles
+            assert estimate_from_simulation(
+                actual, output_load=0.4e-12
+            ) == estimate_from_simulation(expected, output_load=0.4e-12)
+        assert run.encoded_transitions_per_cycle == (
+            count_transitions(words, width=32).per_cycle
         )
-        assert engine_runs["t0"].line_count == sequential["t0"].line_count
+        assert run.line_count == 32 + words[0].extra_count
 
 
 class TestTablesCli:

@@ -27,6 +27,7 @@ from repro.core.base import (
 from repro.core.word import EncodedWord
 from repro.engine import (
     BatchEngine,
+    ExecutionConfig,
     METRIC_CODEC,
     METRIC_POWER,
     comparison_cells,
@@ -414,10 +415,13 @@ class TestEngineRouting:
         addresses, sels = _stream("mixed")
         codecs = [make_codec(name, 32) for name in ("t0", "gray", "wze")]
         fast = compare_codecs(codecs, addresses, sels, benchmark="b")
-        with pytest.warns(DeprecationWarning, match="use_kernels="):
-            slow = compare_codecs(
-                codecs, addresses, sels, benchmark="b", use_kernels=False
-            )
+        slow = compare_codecs(
+            codecs,
+            addresses,
+            sels,
+            benchmark="b",
+            config=ExecutionConfig(kernels=False),
+        )
         assert fast == slow
 
     def test_engine_payloads_match_across_flag(self):

@@ -274,6 +274,21 @@ class TestAggregation:
         agg = aggregate_stages(events, ["encode"])
         assert agg["encode"]["wall_s"] == pytest.approx(1.0)
 
+    def test_default_stages_look_inside_the_engine_span(self):
+        # With no stage list, the engine's grouping span is not a stage,
+        # so the cell spans it wraps are charged instead.
+        events = self._events(
+            [
+                ("tracegen", 1, None, 2.0),
+                ("engine", 2, None, 3.0),
+                ("encode", 3, 2, 1.0),
+                ("count", 4, 2, 1.5),
+            ]
+        )
+        agg = aggregate_stages(events)
+        assert set(agg) == {"tracegen", "encode", "count"}
+        assert agg["count"]["wall_s"] == pytest.approx(1.5)
+
     def test_unclosed_span_charged_with_estimate(self):
         # A truncated trace (begin at ts=2.0, never ended, last event at
         # ts=5.0) still charges the stage, flagged as unclosed.

@@ -105,6 +105,15 @@ class TestObservabilityFlags:
         assert "metrics.transitions" in captured.err
         assert "core.encoded_words" not in captured.out
 
+    def test_table_runs_every_row_through_the_engine(self, capsys):
+        # Table 2: nine benchmarks x (binary reference + t0 + bus-invert).
+        assert main(["table", "2", "--length", "200", "--stats"]) == 0
+        cells = 0
+        for line in capsys.readouterr().err.splitlines():
+            if line.startswith("engine.cells"):
+                cells += int(line.rsplit("=", 1)[1])
+        assert cells == 27
+
     def test_manifest_flag_records_run(self, tmp_path, capsys):
         manifest_path = tmp_path / "run" / "table2.json"
         assert (

@@ -33,6 +33,15 @@ class TestCompareCodecs:
                 [make_codec("t0", 32), make_codec("t0", 16)], [1, 2, 3]
             )
 
+    def test_duplicate_codec_names_rejected(self):
+        # Two beach codes trained on different streams share a name; the
+        # row (and the engine's live-codec lookup) could not tell them apart.
+        stream = [0x400000 + 4 * i for i in range(50)]
+        first = make_codec("beach", 32, training=stream[:20])
+        second = make_codec("beach", 32, training=stream[20:])
+        with pytest.raises(ValueError, match="unique"):
+            compare_codecs([first, second], stream)
+
     def test_in_sequence_recorded(self, sample_row):
         assert sample_row.in_sequence > 0.9  # mostly sequential sample
 

@@ -23,6 +23,7 @@ from repro.rtl import netlist as netlist_module
 from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
 from repro.rtl.gates import ALL_GATES, INV, GateSpec
 from repro.rtl.netlist import WINDOW_CYCLES, Netlist
+from repro.tracegen import get_profile, multiplexed_trace
 
 from conftest import make_mixed_stream
 
@@ -201,7 +202,7 @@ def test_word_level_evaluate_is_bitwise_truth_table(spec):
 
 def test_engine_and_inline_runs_expose_equal_per_gate_toggles(tmp_path):
     codes = ("t0", "dualt0bi")
-    inline = simulate_codecs("gzip", 120, codes=codes)
+    trace = multiplexed_trace(get_profile("gzip"), 120)
     engine = simulate_codecs(
         "gzip",
         120,
@@ -209,8 +210,11 @@ def test_engine_and_inline_runs_expose_equal_per_gate_toggles(tmp_path):
         config=ExecutionConfig(jobs=1, cache_dir=str(tmp_path)),
     )
     for name in codes:
-        for side in ("encoder_result", "decoder_result"):
-            a = getattr(inline[name], side)
+        encoder, words = ENCODER_BUILDERS[name](32).run(
+            trace.addresses, trace.sels
+        )
+        decoder, _ = DECODER_BUILDERS[name](32).run(words, trace.sels)
+        for a, side in ((encoder, "encoder_result"), (decoder, "decoder_result")):
             b = getattr(engine[name], side)
             assert a.gate_output_toggles == b.gate_output_toggles
             assert a.flop_output_toggles == b.flop_output_toggles

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core import make_codec
 from repro.engine import ExecutionConfig
-from repro.metrics import compare_codecs
 from repro.obs import metrics as obs_metrics
 from repro.service import (
     SCHEMA_VERSION,
@@ -42,6 +41,7 @@ from repro.service import (
     trace_digest,
 )
 from tests.conftest import make_mixed_stream
+from tests.row_reference import reference_row as scalar_row
 
 ADDRESSES, SELS = make_mixed_stream(length=120)
 DIGEST = "ab" * 32
@@ -63,11 +63,9 @@ def eval_payload(**overrides):
 
 
 def reference_row(benchmark="mixed"):
-    """The row the sequential path computes for ``eval_payload()``."""
+    """The scalar oracle's row for ``eval_payload()``."""
     codecs = [make_codec("t0", 32, stride=4), make_codec("bus-invert", 32)]
-    return compare_codecs(
-        codecs, ADDRESSES, SELS, stride=4, benchmark=benchmark
-    )
+    return scalar_row(codecs, ADDRESSES, SELS, stride=4, benchmark=benchmark)
 
 
 def encode_work():
